@@ -6,7 +6,7 @@ GO ?= go
 all: check
 
 .PHONY: check
-check: vet lint build race golden atlas-check isolate-check liveness-check fuzz-smoke pdes-smoke fabric-smoke
+check: vet lint build race golden atlas-check isolate-check liveness-check fuzz-smoke pdes-smoke exp-smoke
 
 .PHONY: vet
 vet:
@@ -100,7 +100,9 @@ race:
 # exp-smoke drives the kill-and-resume guarantee end to end through the
 # real CLI: interrupt a grid with -stop-after, verify the resumed
 # session re-executes only the missing runs, and check the merged CSV is
-# byte-identical to an uninterrupted single-worker run.
+# byte-identical to an uninterrupted single-worker run. It then
+# reconciles both journals in one merge, which must report zero
+# determinism conflicts and render the same CSV.
 .PHONY: exp-smoke
 exp-smoke:
 	rm -rf /tmp/denovosync-exp-smoke && mkdir -p /tmp/denovosync-exp-smoke
@@ -116,7 +118,13 @@ exp-smoke:
 	/tmp/denovosync-exp-smoke/exp run -fig fig3 -cores 16 -scale 25 -workers 1 -quiet \
 		-journal /tmp/denovosync-exp-smoke/full.jsonl -csv /tmp/denovosync-exp-smoke/full.csv
 	cmp /tmp/denovosync-exp-smoke/resumed.csv /tmp/denovosync-exp-smoke/full.csv
-	@echo "exp-smoke: resumed CSV is byte-identical to the uninterrupted run"
+	/tmp/denovosync-exp-smoke/exp merge -fig fig3 -cores 16 -scale 25 \
+		-journal /tmp/denovosync-exp-smoke/grid.jsonl -journal /tmp/denovosync-exp-smoke/full.jsonl \
+		-o /tmp/denovosync-exp-smoke/both.csv 2> /tmp/denovosync-exp-smoke/both.log \
+		|| { cat /tmp/denovosync-exp-smoke/both.log; exit 1; }
+	grep -F ', 0 conflicts)' /tmp/denovosync-exp-smoke/both.log
+	cmp /tmp/denovosync-exp-smoke/both.csv /tmp/denovosync-exp-smoke/full.csv
+	@echo "exp-smoke: resumed and two-journal merged CSVs are byte-identical to the uninterrupted run"
 
 # chaos-smoke drives the chaos engine end to end through the real CLI:
 # a small seed grid across all four protocol configs (every run is
@@ -226,18 +234,6 @@ scenfuzz-smoke:
 	diff -r /tmp/denovosync-scenfuzz-smoke/killed/corpus /tmp/denovosync-scenfuzz-smoke/full/corpus
 	diff -r /tmp/denovosync-scenfuzz-smoke/killed/findings /tmp/denovosync-scenfuzz-smoke/full/findings
 	@echo "scenfuzz-smoke: killed-and-resumed campaign outputs are byte-identical to the uninterrupted run"
-
-# fabric-smoke is the seconds-scale gate over the distributed experiment
-# fabric (run inside `make check`): a real grid served over loopback
-# HTTP to two workers, with a worker killed mid-grid (journaled locally,
-# nothing handed off) and restarted, an injected dropped + duplicated
-# completion, and a coordinator restart from its journal — the merged
-# figure CSV must be byte-identical to a serial single-machine run, with
-# zero determinism findings. The in-package fault battery (lease expiry,
-# partitioned workers, conflict escalation) runs under `make race`.
-.PHONY: fabric-smoke
-fabric-smoke:
-	$(GO) run ./cmd/fabric smoke
 
 # nightly-fuzz is the scheduled long-budget campaign (also runnable
 # locally): seeds from the checked-in corpus, writes accepted candidates

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"denovosync/internal/backoff"
 	"denovosync/internal/stats"
 )
 
@@ -34,13 +33,6 @@ type Engine struct {
 
 	// Retries is the number of *extra* attempts after a failed one.
 	Retries int
-
-	// Backoff schedules the delay before each retry attempt (the shared
-	// seeded exponential-backoff-with-jitter policy, internal/backoff).
-	// Each run key retries on its own derived jitter stream, so the
-	// schedule is deterministic however the grid is partitioned. The
-	// zero value keeps the historical retry-immediately behavior.
-	Backoff backoff.Policy
 
 	// RetryFailed re-executes journaled failures instead of skipping them.
 	RetryFailed bool
@@ -267,10 +259,12 @@ func (e *Engine) runOne(r Run, fig string) *Record {
 		if attempt > e.Retries {
 			return rec
 		}
-		// A stop request cancels the wait (the failed record stands as-is
+		// A stop request cancels the retry (the failed record stands as-is
 		// and the grid resumes it — with -retry-failed — next session).
-		if !e.Backoff.Keyed(rec.Key).Sleep(attempt, e.Stop) {
+		select {
+		case <-e.Stop:
 			return rec
+		default:
 		}
 	}
 }

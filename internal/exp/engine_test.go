@@ -199,6 +199,33 @@ func TestEngineRetryRecovers(t *testing.T) {
 	}
 }
 
+// TestEngineStopCancelsRetry: a stop request that arrives while a run
+// is failing cancels its remaining retries; the failed record stands.
+func TestEngineStopCancelsRetry(t *testing.T) {
+	plan := fakePlan(1)
+	stop := make(chan struct{})
+	calls := 0
+	eng := &Engine{
+		Retries: 5,
+		Stop:    stop,
+		Executor: func(r Run) (*stats.RunStats, json.RawMessage, error) {
+			calls++
+			if calls == 1 {
+				close(stop)
+			}
+			return nil, nil, fmt.Errorf("transient %d", calls)
+		},
+	}
+	records, _, err := eng.Execute(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := records[plan.Runs[0].Key()]
+	if rec == nil || rec.Status != StatusFailed || rec.Attempts != 1 {
+		t.Errorf("stop did not cancel the retries: %+v", rec)
+	}
+}
+
 func TestEngineTimeout(t *testing.T) {
 	plan := fakePlan(1)
 	eng := &Engine{

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -62,21 +63,54 @@ type Journal struct {
 }
 
 // OpenJournal loads any existing records from path and opens it for
-// appending, creating it if needed.
+// appending, creating it if needed. A torn final line (a crash
+// mid-append) is cut off first, so the next Append starts on a fresh
+// line instead of being glued onto the torn bytes; its run re-executes.
 func OpenJournal(path string) (*Journal, map[string]*Record, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := trimTornTail(f); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("exp: trimming journal %s: %w", path, err)
+	}
 	prior, err := LoadJournal(path)
-	if err != nil && !os.IsNotExist(err) {
+	if err != nil {
+		f.Close()
 		return nil, nil, err
 	}
 	byKey := make(map[string]*Record, len(prior))
 	for _, rec := range prior {
 		byKey[rec.Key] = rec // later lines win (e.g. a retried failure)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
 	return &Journal{f: f, path: path}, byKey, nil
+}
+
+// trimTornTail truncates f to the end of its last newline-terminated
+// line.
+func trimTornTail(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 64<<10)
+	end := fi.Size()
+	for end > 0 {
+		n := min(int64(len(buf)), end)
+		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			end += int64(i) + 1 - n
+			break
+		}
+		end -= n
+	}
+	if end == fi.Size() {
+		return nil
+	}
+	return f.Truncate(end)
 }
 
 // LoadJournal reads the records of a journal file in file order.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -111,6 +112,67 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 	if _, err := LoadJournal(path); err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Fatalf("mid-file corruption: got %v, want parse error", err)
+	}
+}
+
+// TestJournalResumesAfterTornTail: a crash mid-append leaves either a
+// partial line or a complete record without its newline. Resuming must
+// not glue later appends onto those bytes: every intact record and every
+// record appended after the resume must survive a reopen.
+func TestJournalResumesAfterTornTail(t *testing.T) {
+	unterminated, err := json.Marshal(testRecord("bbbb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, tail string }{
+		{"partial line", `{"key":"bbbb","run":{"kind":"ker`},
+		{"record without newline", string(unterminated)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "grid.jsonl")
+			j, _, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(testRecord("aaaa")); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			writeJournalAppend(t, path, tc.tail)
+
+			j, prior, err := OpenJournal(path)
+			if err != nil {
+				t.Fatalf("resume over torn tail: %v", err)
+			}
+			if len(prior) != 1 || prior["aaaa"] == nil {
+				t.Fatalf("resumed with %d records, want only the intact aaaa", len(prior))
+			}
+			for _, k := range []string{"cccc", "dddd"} {
+				if err := j.Append(testRecord(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			recs, err := LoadJournal(path)
+			if err != nil {
+				t.Fatalf("LoadJournal after resume: %v", err)
+			}
+			var keys []string
+			for _, r := range recs {
+				keys = append(keys, r.Key)
+			}
+			if got := strings.Join(keys, ","); got != "aaaa,cccc,dddd" {
+				t.Fatalf("journal holds %s, want aaaa,cccc,dddd", got)
+			}
+			if _, prior, err = OpenJournal(path); err != nil || len(prior) != 3 {
+				t.Fatalf("reopen: %d records, err %v; want 3", len(prior), err)
+			}
+		})
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Journal reconciliation: merge N append-only journals — written by
-// different machines, sessions, or fabric workers — into one record set
+// different machines, sessions, or worker processes — into one record set
 // keyed by content-addressed run key. Because every run key hashes the
 // full configuration and every simulation is cycle-exact deterministic,
 // two records for the same key MUST carry the same result: an

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"denovosync/internal/backoff"
 	"denovosync/internal/sim"
 	"denovosync/internal/stats"
 )
@@ -146,7 +145,7 @@ func TestReconcileConflictIsDeterminismFinding(t *testing.T) {
 	if records[r.Key()] == nil {
 		t.Errorf("conflicted key dropped from the merged set")
 	}
-	// The finding round-trips as JSON (it is journaled by the fabric).
+	// The finding round-trips as JSON (it is part of MergeSummary).
 	b, jerr := json.Marshal(c)
 	if jerr != nil {
 		t.Fatalf("conflict does not marshal: %v", jerr)
@@ -247,61 +246,3 @@ func writeJournalAppend(t *testing.T, path, s string) {
 		t.Fatal(err)
 	}
 }
-
-// TestEngineBackoffDelaysRetries: the engine sleeps the policy's
-// deterministic schedule between attempts and a stop request cancels the
-// wait.
-func TestEngineBackoffDelaysRetries(t *testing.T) {
-	plan := fakePlan(1)
-	key := plan.Runs[0].Key()
-	pol := backoff.Policy{Base: 30 * time.Millisecond, Max: 30 * time.Millisecond, Seed: 5}
-	calls := 0
-	eng := &Engine{
-		Retries: 2,
-		Backoff: pol,
-		Executor: func(r Run) (*stats.RunStats, json.RawMessage, error) {
-			calls++
-			if calls < 3 {
-				return nil, nil, errTransient
-			}
-			return &stats.RunStats{ExecTime: 7}, nil, nil
-		},
-	}
-	start := time.Now()
-	records, _, err := eng.Execute(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := records[key]; rec.Status != StatusOK || rec.Attempts != 3 {
-		t.Fatalf("retry with backoff did not recover: %+v", rec)
-	}
-	// Two waits, each at least nominal/2 = 15ms.
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("engine did not observe the backoff schedule: %v elapsed", elapsed)
-	}
-
-	// A pre-closed stop channel cancels the retry wait immediately.
-	stop := make(chan struct{})
-	close(stop)
-	slow := backoff.Policy{Base: time.Hour, Seed: 5}
-	eng2 := &Engine{
-		Retries: 5, Backoff: slow, Stop: stop,
-		Executor: func(r Run) (*stats.RunStats, json.RawMessage, error) {
-			return nil, nil, errTransient
-		},
-	}
-	start = time.Now()
-	records, _, _ = eng2.Execute(plan)
-	if time.Since(start) > 10*time.Second {
-		t.Fatalf("stopped engine still slept the backoff")
-	}
-	if rec := records[key]; rec != nil && rec.Status == StatusOK {
-		t.Fatalf("cancelled retry reported success")
-	}
-}
-
-var errTransient = errTransientType{}
-
-type errTransientType struct{}
-
-func (errTransientType) Error() string { return "transient fault" }

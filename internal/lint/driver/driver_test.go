@@ -1,7 +1,6 @@
 package driver_test
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,50 +168,6 @@ func Sum(m map[string]int) int {
 	}
 	if len(kept) != 1 || kept[0].Suppressed {
 		t.Fatalf("Run must filter suppressed diagnostics, got %v", kept)
-	}
-}
-
-// TestFabricScopeBoundary pins the determinism boundary around the
-// distributed fabric: the identical wall-clock/map-range constructs are
-// clean in internal/fabric (host-service code — leases and heartbeats
-// are wall-clock business) but findings in internal/backoff, whose
-// seeded retry schedule must stay a pure function.
-func TestFabricScopeBoundary(t *testing.T) {
-	src := `package %s
-
-import "time"
-
-func Deadline(ttl time.Duration) time.Time { return time.Now().Add(ttl) }
-
-func Keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-`
-	dir := writeModule(t, map[string]string{
-		"internal/fabric/lease.go":  fmt.Sprintf(src, "fabric"),
-		"internal/backoff/clock.go": fmt.Sprintf(src, "backoff"),
-	})
-	findings, err := driver.Run(dir, lint.Analyzers())
-	if err != nil {
-		t.Fatalf("driver.Run: %v", err)
-	}
-	for _, f := range findings {
-		if f.Analyzer != "determinism" {
-			t.Errorf("unexpected %s finding: %s", f.Analyzer, f)
-			continue
-		}
-		if !strings.Contains(filepath.ToSlash(f.Pos.Filename), "internal/backoff/") {
-			t.Errorf("determinism finding outside the backoff scope: %s", f)
-		}
-	}
-	// Both constructs caught in backoff (time.Now + map range), none in
-	// fabric.
-	if len(findings) != 2 {
-		t.Fatalf("want exactly 2 findings (both in internal/backoff), got %v", findings)
 	}
 }
 
