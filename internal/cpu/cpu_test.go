@@ -60,10 +60,7 @@ func runOne(t *testing.T, lat sim.Cycle, fn func(*Thread)) *Core {
 	core := NewCore(eng, 0, l1, func() { finished = true })
 	core.Start()
 	th := NewThread(core, nil, sim.NewRNG(1))
-	go func() {
-		defer th.Close()
-		fn(th)
-	}()
+	th.Spawn(fn)
 	eng.Run(0)
 	if !finished {
 		t.Fatal("thread did not finish")
@@ -161,10 +158,9 @@ func TestSpinHelperChargesCompute(t *testing.T) {
 	core := NewCore(eng, 0, l1, nil)
 	core.Start()
 	th := NewThread(core, nil, sim.NewRNG(1))
-	go func() {
-		defer th.Close()
+	th.Spawn(func(th *Thread) {
 		th.SpinSyncLoadUntil(0x40, func(v uint64) bool { return v == 3 })
-	}()
+	})
 	// Another event sets the value after a while (fakeL1 wakes spinners
 	// every 5 cycles regardless).
 	eng.Schedule(30, func() { l1.mem[0x40] = 3 })
@@ -185,5 +181,55 @@ func TestZeroComputeIsFree(t *testing.T) {
 	ct := core.Time()
 	if ct.Busy() != 0 {
 		t.Fatalf("zero-length ops charged cycles: %v", ct)
+	}
+}
+
+// hitL1 answers every access after a fixed latency without allocating:
+// it keeps the one outstanding request and completes it from a method
+// value bound once.
+type hitL1 struct {
+	*fakeL1
+	req  *proto.Request
+	fire func()
+}
+
+func newHitL1(eng *sim.Engine, lat sim.Cycle) *hitL1 {
+	h := &hitL1{fakeL1: newFakeL1(eng, lat)}
+	h.fire = h.done
+	return h
+}
+
+func (h *hitL1) Access(req *proto.Request) {
+	h.req = req
+	h.eng.Schedule(h.latency, h.fire)
+}
+
+func (h *hitL1) done() { h.req.Done(0) }
+
+// TestLoadAllocs: in steady state a blocking Load costs one allocation,
+// the Request the L1 may keep; the thread switch, the op record and the
+// completion path allocate nothing.
+func TestLoadAllocs(t *testing.T) {
+	const lat = 4
+	eng := sim.NewEngine()
+	core := NewCore(eng, 0, newHitL1(eng, lat), nil)
+	core.Start()
+	th := NewThread(core, nil, sim.NewRNG(1))
+	th.Spawn(func(th *Thread) {
+		for {
+			th.Load(64)
+		}
+	})
+	defer core.Stop()
+	eng.RunUntil(100 * lat) // warm up the event queue
+	allocs := testing.AllocsPerRun(1000, func() {
+		before := core.Retired()
+		eng.RunUntil(eng.Now() + lat)
+		if core.Retired() != before+1 {
+			t.Fatalf("retired %d loads in one latency, want 1", core.Retired()-before)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("steady-state Load costs %.2f allocations, want at most 1 (the Request)", allocs)
 	}
 }

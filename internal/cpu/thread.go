@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"fmt"
 	"os"
+	"runtime/debug"
 
 	"denovosync/internal/proto"
 	"denovosync/internal/sim"
@@ -15,25 +17,25 @@ type RegionMapper interface {
 }
 
 // Thread is the API simulated workload code is written against. All
-// methods marked "blocking" suspend the calling goroutine for the
-// simulated duration of the operation. A Thread's methods must only be
-// called from its own workload goroutine.
+// methods marked "blocking" suspend the calling thread for the simulated
+// duration of the operation. A Thread's methods must only be called from
+// its own body (see Spawn).
 //
 // Pure time-advancing operations (Compute, SWBackoff, SetPhase) are
 // batched: they queue locally and are replayed as the exact event chain
 // the eager implementation would have produced when the next blocking
-// operation (or Close/Now/Epoch) flushes them. This skips two goroutine
-// context switches per batched call without perturbing the engine's event
-// sequence, so simulated results are bit-identical to unbatched runs.
+// operation (or the end of the body, Now or Epoch) flushes them. This
+// skips a coroutine switch each way per batched call without perturbing
+// the engine's event sequence, so simulated results are bit-identical to
+// unbatched runs.
 type Thread struct {
 	// ID is the thread index, equal to the core ID it runs on.
 	ID int
 	// RNG is the thread-private deterministic random source.
 	RNG *sim.RNG
 
-	core    *Core
-	regions RegionMapper
-	pending []lazyStep
+	core  *Core
+	yield func(opKind) bool
 }
 
 // lazyStep is one queued time-advancing operation awaiting flush.
@@ -47,43 +49,81 @@ type lazyStep struct {
 // NewThread binds a workload thread to core. regions may be nil if the
 // workload never uses regions.
 func NewThread(core *Core, regions RegionMapper, rng *sim.RNG) *Thread {
-	return &Thread{ID: int(core.id), RNG: rng, core: core, regions: regions}
+	core.regions = regions
+	return &Thread{ID: int(core.id), RNG: rng, core: core}
 }
 
-// do hands op to the core and blocks until the simulated completion.
-// Queued lazy steps are replayed first, as a chain of events identical to
-// the one the eager path would have scheduled; op runs inside the chain's
-// final event, exactly where it would have run after the last handshake.
-func (t *Thread) do(op threadOp) uint64 {
-	if len(t.pending) > 0 {
-		steps := t.pending
-		t.pending = t.pending[:0] // safe: t blocks until the chain completes
-		inner := op
-		op = func(c *Core) { c.replay(steps, inner) }
+// ThreadPanicError reports a panic raised by a thread body. It carries
+// the panic value and the thread's stack at the panic, so a run that
+// trips a workload bug fails with a structured error instead of killing
+// the process.
+type ThreadPanicError struct {
+	Core  int       // core the thread ran on
+	Cycle sim.Cycle // simulated cycle at the panic
+	Value any       // the value passed to panic
+	Stack []byte    // the thread's stack at the panic
+}
+
+func (e *ThreadPanicError) Error() string {
+	return fmt.Sprintf("thread on core %d panicked at cycle %d: %v\n%s", e.Core, e.Cycle, e.Value, e.Stack)
+}
+
+// threadStopped is the panic value that unwinds a thread whose core was
+// stopped; the coroutine body recovers it.
+type threadStopped struct{}
+
+// Spawn makes body the core's thread, run as a coroutine the core resumes
+// from its engine events (the core's Start schedules the first resume).
+// Batched steps still queued when body returns are replayed before the
+// core records its finish time. A panic in body reaches the caller of
+// the engine's Run as a *ThreadPanicError.
+func (t *Thread) Spawn(body func(*Thread)) {
+	c := t.core
+	c.next, c.stop = pull(func(yield func(opKind) bool) {
+		t.yield = yield
+		defer func() {
+			if p := recover(); p != nil {
+				if _, ok := p.(threadStopped); ok {
+					return
+				}
+				panic(&ThreadPanicError{Core: t.ID, Cycle: c.eng.Now(), Value: p, Stack: debug.Stack()})
+			}
+		}()
+		body(t)
+		t.flush()
+	})
+}
+
+// do yields the operation whose operands are in the core's op record and
+// returns the value the core completes it with. Queued lazy steps are
+// replayed first, as a chain of events identical to the one the eager path
+// would have scheduled; the operation runs inside the chain's final event,
+// exactly where the eager path would have run it. If the core was stopped
+// instead, do unwinds the thread.
+func (t *Thread) do(kind opKind) uint64 {
+	if !t.yield(kind) {
+		panic(threadStopped{})
 	}
-	t.core.ops <- op
-	return <-t.core.resp
+	return t.core.val
 }
 
 // flush drains queued lazy steps so the engine state observed by
 // non-blocking accessors (Now, Epoch) reflects them.
 func (t *Thread) flush() {
-	if len(t.pending) > 0 {
-		t.do(func(c *Core) { c.complete(0) })
+	if len(t.core.steps) > 0 {
+		t.do(opRetire)
 	}
 }
 
-// Rendezvous performs one empty handshake with the core, blocking the
-// calling goroutine until the core's cycle-0 thread-service event runs.
-// The spawner calls it before the workload function so that native code
-// ahead of the first blocking operation (including host-level access to
-// shared simulation state like the allocator) executes serialized, in
-// core order, under the engine's one-runnable-goroutine discipline —
-// instead of racing across freshly spawned workload goroutines. The
-// handshake schedules no events and charges no time, so the simulated
-// event sequence is untouched.
+// Rendezvous performs one empty operation: the thread yields and is
+// resumed within the same cycle, with no event scheduled and no time
+// charged. The machine calls it ahead of every workload body. Coroutine
+// threads cannot race, so it guards nothing; it stays because its
+// retired operation counts toward each core's Retired total (the
+// watchdog's progress signal and the cpu.ops metric), and dropping it
+// would shift those counts.
 func (t *Thread) Rendezvous() {
-	t.do(func(c *Core) { c.complete(0) })
+	t.do(opRetire)
 }
 
 // Flush replays any batched time-advancing operations before returning.
@@ -101,100 +141,76 @@ func (t *Thread) Now() sim.Cycle {
 	return t.core.eng.Now()
 }
 
-func (t *Thread) regionOf(addr proto.Addr) proto.RegionID {
-	if t.regions == nil {
-		return 0
-	}
-	return t.regions.RegionOf(addr)
-}
-
-// memOp issues one memory access and blocks until its commit. Sync
-// accesses first drain outstanding stores (fence semantics of the
-// data-race-free model: acquire/release ordering at sync points).
-func (t *Thread) memOp(kind proto.AccessKind, addr proto.Addr, value uint64, rmw proto.RMWOp) uint64 {
-	return t.do(func(c *Core) {
-		start := c.eng.Now()
-		b0 := c.l1.BackoffStallCycles()
-		issue := func() {
-			c.l1.Access(&proto.Request{
-				Kind:   kind,
-				Addr:   addr,
-				Value:  value,
-				RMW:    rmw,
-				Region: t.regionOf(addr),
-				Done: func(v uint64) {
-					c.chargeAccess(c.eng.Now()-start, c.l1.BackoffStallCycles()-b0)
-					c.complete(v)
-				},
-			})
-		}
-		if kind.IsSync() {
-			c.l1.OnWritesDrained(issue)
-		} else {
-			issue()
-		}
-	})
+// memOp issues one memory access and blocks until its commit.
+func (t *Thread) memOp(kind proto.AccessKind, addr proto.Addr, value uint64) uint64 {
+	op := &t.core.op
+	op.access, op.addr, op.value = kind, addr, value
+	return t.do(opMem)
 }
 
 // Load performs a blocking data load.
 func (t *Thread) Load(addr proto.Addr) uint64 {
-	return t.memOp(proto.DataLoad, addr, 0, nil)
+	return t.memOp(proto.DataLoad, addr, 0)
 }
 
 // Store performs a non-blocking data store: it returns after the L1
 // access; the coherence transaction drains in the background (see Fence).
 func (t *Thread) Store(addr proto.Addr, value uint64) {
-	t.memOp(proto.DataStore, addr, value, nil)
+	t.memOp(proto.DataStore, addr, value)
 }
 
 // SyncLoad performs a synchronization (volatile/atomic) load: sequentially
 // consistent, ordered after all prior accesses.
 func (t *Thread) SyncLoad(addr proto.Addr) uint64 {
-	return t.memOp(proto.SyncLoad, addr, 0, nil)
+	return t.memOp(proto.SyncLoad, addr, 0)
 }
 
 // SyncStore performs a synchronization store, blocking until the write is
 // globally visible (write atomicity).
 func (t *Thread) SyncStore(addr proto.Addr, value uint64) {
-	t.memOp(proto.SyncStore, addr, value, nil)
+	t.memOp(proto.SyncStore, addr, value)
 }
 
 // rmw runs an atomic read-modify-write, returning the pre-update value.
-func (t *Thread) rmw(addr proto.Addr, op proto.RMWOp) uint64 {
-	return t.memOp(proto.SyncRMW, addr, 0, op)
+func (t *Thread) rmw(addr proto.Addr, kind rmwKind, old, value uint64) uint64 {
+	t.core.op.rmw, t.core.op.old = kind, old
+	return t.memOp(proto.SyncRMW, addr, value)
 }
 
 // CAS atomically compares-and-swaps, reporting success.
 func (t *Thread) CAS(addr proto.Addr, old, new uint64) bool {
-	got := t.rmw(addr, func(cur uint64) (uint64, bool) {
-		if cur == old {
-			return new, true
-		}
-		return 0, false
-	})
-	return got == old
+	return t.rmw(addr, rmwCAS, old, new) == old
 }
 
 // FetchAdd atomically adds delta, returning the previous value.
 func (t *Thread) FetchAdd(addr proto.Addr, delta uint64) uint64 {
-	return t.rmw(addr, func(cur uint64) (uint64, bool) { return cur + delta, true })
+	return t.rmw(addr, rmwAdd, 0, delta)
 }
 
 // TestAndSet atomically sets the word to 1, returning the previous value.
 func (t *Thread) TestAndSet(addr proto.Addr) uint64 {
-	return t.rmw(addr, func(uint64) (uint64, bool) { return 1, true })
+	return t.rmw(addr, rmwTAS, 0, 0)
 }
 
 // Exchange atomically swaps in value, returning the previous value.
 func (t *Thread) Exchange(addr proto.Addr, value uint64) uint64 {
-	return t.rmw(addr, func(uint64) (uint64, bool) { return value, true })
+	return t.rmw(addr, rmwSwap, 0, value)
 }
 
-// EagerOps disables the lazy batching of Compute/SWBackoff/SetPhase,
-// restoring the one-handshake-per-call reference implementation. The two
-// modes must produce bit-identical simulations (TestBatchingMatchesEager
-// checks this); set CPU_EAGER=1 to bisect a suspected batching bug.
+// EagerOps disables the lazy batching of Compute/SWBackoff/SetPhase: each
+// call flushes its own step at once, paying one coroutine round trip per
+// call as the reference implementation did. The two modes must produce
+// bit-identical simulations (TestBatchingMatchesEager checks this); set
+// CPU_EAGER=1 to bisect a suspected batching bug.
 var EagerOps = os.Getenv("CPU_EAGER") != ""
+
+// queue batches one lazy step (or, under EagerOps, runs it at once).
+func (t *Thread) queue(s lazyStep) {
+	t.core.steps = append(t.core.steps, s)
+	if EagerOps {
+		t.flush()
+	}
+}
 
 // Compute burns n cycles of computation (1 CPI instructions). Batched:
 // the cycles are charged and the clock advanced when the next blocking
@@ -203,16 +219,7 @@ func (t *Thread) Compute(n sim.Cycle) {
 	if n == 0 {
 		return
 	}
-	if EagerOps {
-		t.do(func(c *Core) {
-			c.eng.Schedule(n, func() {
-				c.charge(stats.Compute, n)
-				c.complete(0)
-			})
-		})
-		return
-	}
-	t.pending = append(t.pending, lazyStep{delay: n, comp: stats.Compute})
+	t.queue(lazyStep{delay: n, comp: stats.Compute})
 }
 
 // SWBackoff stalls n cycles of software backoff (plotted separately).
@@ -221,79 +228,42 @@ func (t *Thread) SWBackoff(n sim.Cycle) {
 	if n == 0 {
 		return
 	}
-	if EagerOps {
-		t.do(func(c *Core) {
-			c.eng.Schedule(n, func() {
-				c.charge(stats.SWBackoff, n)
-				c.complete(0)
-			})
-		})
-		return
-	}
-	t.pending = append(t.pending, lazyStep{delay: n, comp: stats.SWBackoff})
+	t.queue(lazyStep{delay: n, comp: stats.SWBackoff})
 }
 
 // SelfInvalidate drops cached Valid words of the given regions (DeNovo's
 // region-based static self-invalidation; a no-op on MESI). Costs one
 // instruction cycle.
 func (t *Thread) SelfInvalidate(set proto.RegionSet) {
-	t.do(func(c *Core) {
-		c.l1.SelfInvalidate(set)
-		c.eng.Schedule(1, func() {
-			c.charge(stats.Compute, 1)
-			c.complete(0)
-		})
-	})
+	t.core.op.regions = set
+	t.do(opSelfInvalidate)
 }
 
 // AcquireSignature self-invalidates cached stale data matching the
 // write signature attached to lock (DeNovoND-style dynamic
 // self-invalidation; a no-op on MESI). Costs one instruction cycle.
 func (t *Thread) AcquireSignature(lock proto.Addr) {
-	t.do(func(c *Core) {
-		c.l1.SignatureAcquire(lock)
-		c.eng.Schedule(1, func() {
-			c.charge(stats.Compute, 1)
-			c.complete(0)
-		})
-	})
+	t.core.op.addr = lock
+	t.do(opSigAcquire)
 }
 
 // ReleaseSignature publishes this core's writes-since-last-release
 // signature to lock (a no-op on MESI). Costs one instruction cycle.
 func (t *Thread) ReleaseSignature(lock proto.Addr) {
-	t.do(func(c *Core) {
-		c.l1.SignatureRelease(lock)
-		c.eng.Schedule(1, func() {
-			c.charge(stats.Compute, 1)
-			c.complete(0)
-		})
-	})
+	t.core.op.addr = lock
+	t.do(opSigRelease)
 }
 
 // Fence blocks until all outstanding non-blocking stores have committed.
 func (t *Thread) Fence() {
-	t.do(func(c *Core) {
-		start := c.eng.Now()
-		c.l1.OnWritesDrained(func() {
-			c.charge(stats.MemStall, c.eng.Now()-start)
-			c.complete(0)
-		})
-	})
+	t.do(opFence)
 }
 
 // SetPhase switches the accounting phase (kernel / non-synch / barrier).
 // Batched: the switch takes effect, in program order, when the queue is
 // flushed (it costs its original zero-delay event then).
 func (t *Thread) SetPhase(p Phase) {
-	if EagerOps {
-		t.do(func(c *Core) {
-			c.phase = p
-			c.eng.Schedule(0, func() { c.complete(0) })
-		})
-		return
-	}
-	t.pending = append(t.pending, lazyStep{setPhase: true, phase: p})
+	t.queue(lazyStep{setPhase: true, phase: p})
 }
 
 // Epoch samples the local disturbance counter for addr; pair with
@@ -308,13 +278,9 @@ func (t *Thread) Epoch(addr proto.Addr) uint64 {
 // wait is charged as compute: architecturally the core is spinning on
 // local cache hits (the paper notes spin hits dominate compute time).
 func (t *Thread) WaitDisturb(addr proto.Addr, epoch uint64) {
-	t.do(func(c *Core) {
-		start := c.eng.Now()
-		c.l1.WaitDisturb(addr, epoch, func() {
-			c.charge(stats.Compute, c.eng.Now()-start)
-			c.complete(0)
-		})
-	})
+	op := &t.core.op
+	op.addr, op.epoch = addr, epoch
+	t.do(opWait)
 }
 
 // SpinSyncLoadUntil repeatedly sync-loads addr until pred accepts the
@@ -331,13 +297,4 @@ func (t *Thread) SpinSyncLoadUntil(addr proto.Addr, pred func(uint64) bool) uint
 		}
 		t.WaitDisturb(addr, e)
 	}
-}
-
-// Close ends the thread: the core observes the closed op channel and
-// records its finish time (after any queued lazy steps play out).
-// Deferred by the machine around the workload body; workload code never
-// calls it.
-func (t *Thread) Close() {
-	t.flush()
-	close(t.core.ops)
 }

@@ -11,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"denovosync/internal/alloc"
+	"denovosync/internal/cpu"
+	"denovosync/internal/machine"
 	"denovosync/internal/sim"
 	"denovosync/internal/stats"
 )
@@ -171,6 +174,49 @@ func TestEnginePanicIsolation(t *testing.T) {
 			continue
 		}
 		if got := records[r.Key()]; got == nil || got.Status != StatusOK {
+			t.Errorf("healthy run %s disturbed by the panicking one: %+v", r, got)
+		}
+	}
+}
+
+// TestEngineThreadPanicFailsOneRun: a workload thread that panics inside
+// a real simulation fails its own grid point with the machine's
+// structured thread-panic error (not a recovered process-level panic),
+// and the rest of the grid completes.
+func TestEngineThreadPanicFailsOneRun(t *testing.T) {
+	plan := fakePlan(4)
+	bad := plan.Runs[1].Key()
+	eng := &Engine{
+		Workers: 2,
+		Executor: func(r Run) (*stats.RunStats, json.RawMessage, error) {
+			space := alloc.New()
+			counter := space.AllocAligned(1, space.Region("counter"))
+			m := machine.New(machine.Params16(), machine.DeNovoSync, space)
+			rs, err := m.Run("counter", func(th *cpu.Thread) {
+				for i := 0; i < r.Iters*5; i++ {
+					th.FetchAdd(counter, 1)
+					if r.Key() == bad && th.ID == 3 && i == 2 {
+						panic("injected thread bug")
+					}
+				}
+			})
+			return rs, nil, err
+		},
+	}
+	records, sum, err := eng.Execute(plan)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if sum.Failed != 1 || sum.Executed != 4 {
+		t.Fatalf("summary %+v: want 4 executed, 1 failed", sum)
+	}
+	rec := records[bad]
+	if rec.Status != StatusFailed || !strings.HasPrefix(rec.Error, "thread on core 3 panicked") ||
+		!strings.Contains(rec.Error, "injected thread bug") {
+		t.Errorf("panicking run not recorded as a thread-panic failure: %+v", rec)
+	}
+	for _, r := range plan.Runs {
+		if got := records[r.Key()]; r.Key() != bad && (got == nil || got.Status != StatusOK) {
 			t.Errorf("healthy run %s disturbed by the panicking one: %+v", r, got)
 		}
 	}

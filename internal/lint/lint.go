@@ -88,9 +88,12 @@ var scopes = map[string][]string{
 		"internal/sim", "internal/cache", "internal/mesi", "internal/denovo",
 		"internal/noc", "internal/mem", "internal/cpu", "internal/stats",
 	},
+	// internal/cpu is the thread layer itself: its threads are iter.Pull
+	// coroutines stepped from engine events, so it needs no goroutine,
+	// channel or sync primitive either.
 	ThreadDiscipline.Name: {
 		"internal/kernels", "internal/apps", "internal/locks",
-		"internal/barrier", "internal/lockfree",
+		"internal/barrier", "internal/lockfree", "internal/cpu",
 	},
 	// observerpurity guards the read-only hook surfaces: the coverage
 	// observers living inside the protocol packages and the invariant

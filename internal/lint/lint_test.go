@@ -62,7 +62,7 @@ func TestScopes(t *testing.T) {
 		{"cyclehygiene", "internal/denovo", true},
 		{"cyclehygiene", "internal/machine", false}, // latencies are declared there
 		{"threaddiscipline", "internal/kernels", true},
-		{"threaddiscipline", "internal/cpu", false}, // the thread API itself uses channels
+		{"threaddiscipline", "internal/cpu", true}, // coroutine threads: no go/chan/sync
 		// internal/exp is the host-side orchestration layer: wall-clock
 		// progress/timeouts are its job, so only the whole-tree analyzers
 		// apply — and no //simlint:allow suppressions are needed there.

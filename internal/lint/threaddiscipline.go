@@ -16,8 +16,11 @@ import (
 // goroutine, channel, or sync primitive would communicate through the Go
 // runtime instead — untimed, invisible to the protocol under test, and
 // racy against the engine (exactly the class of bug PR 1 fixed by hand in
-// a kernel's prefill path). Flagged: go statements, channel types and
-// operations, select statements, and imports of sync or sync/atomic.
+// a kernel's prefill path). The thread layer itself (internal/cpu) is in
+// scope too: it runs threads as coroutines stepped from engine events, so
+// a goroutine or channel there would reintroduce the scheduler handoff
+// it replaced. Flagged: go statements, channel types and operations,
+// select statements, and imports of sync or sync/atomic.
 var ThreadDiscipline = &analysis.Analyzer{
 	Name: "threaddiscipline",
 	Doc: "workload packages must not use go/chan/select/sync: all " +

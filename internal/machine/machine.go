@@ -381,9 +381,9 @@ func (m *Machine) Run(name string, w Workload) (*stats.RunStats, error) {
 	return m.RunThreads(name, func(i int) Workload { return w })
 }
 
-// RunThreads runs a possibly heterogeneous workload: body(i) supplies the
-// function for thread i.
-func (m *Machine) RunThreads(name string, body func(i int) Workload) (*stats.RunStats, error) {
+// RunThreads runs a possibly heterogeneous workload (body(i) supplies
+// thread i); a panicking thread body fails it with a *ThreadPanicError.
+func (m *Machine) RunThreads(name string, body func(i int) Workload) (rs *stats.RunStats, err error) {
 	if m.Cores != nil {
 		panic("machine: Run called twice")
 	}
@@ -392,16 +392,30 @@ func (m *Machine) RunThreads(name string, body func(i int) Workload) (*stats.Run
 		m.Cores = append(m.Cores, core)
 		core.Start()
 	}
+	// However the run ends — finished, aborted by the watchdog, stuck, or
+	// panicking — unwind every thread still suspended in an operation, so
+	// no coroutine outlives the run and pins the machine.
+	defer func() {
+		for _, core := range m.Cores {
+			core.Stop()
+		}
+		if p := recover(); p != nil {
+			tp, ok := p.(*ThreadPanicError)
+			if !ok {
+				panic(p)
+			}
+			rs, err = nil, tp
+		}
+	}()
 	// Thread RNG forks happen here, host-serially in core order, so the
 	// per-thread streams are identical in every partitioning.
 	for i, core := range m.Cores {
 		th := cpu.NewThread(core, m.Space, m.rng.Fork())
 		fn := body(i)
-		go func() {
-			defer th.Close()
+		th.Spawn(func(th *cpu.Thread) {
 			th.Rendezvous()
 			fn(th)
-		}()
+		})
 	}
 	const eventLimit = 4_000_000_000
 	wallStart := time.Now()
@@ -427,7 +441,7 @@ func (m *Machine) RunThreads(name string, body func(i int) Workload) (*stats.Run
 			finished, m.Params.Cores, m.totalEvents())
 	}
 
-	rs := &stats.RunStats{
+	rs = &stats.RunStats{
 		Protocol: m.Protocol.String(),
 		Workload: name,
 		Cores:    m.Params.Cores,
@@ -450,6 +464,11 @@ func (m *Machine) RunThreads(name string, body func(i int) Workload) (*stats.Run
 	}
 	return rs, nil
 }
+
+// ThreadPanicError is the error a run fails with when a workload thread
+// body panics: it names the core and simulated cycle and carries the
+// panic value and the thread's stack. Use errors.As to inspect it.
+type ThreadPanicError = cpu.ThreadPanicError
 
 // CheckInvariants validates the protocol's stable-state invariants across
 // all caches and the shared L2 (single owner/registrant, directory and

@@ -50,11 +50,14 @@ type Scheduler struct {
 	Windows uint64
 
 	start []chan sim.Cycle
-	done  chan struct{}
+	done  chan error
 }
 
 // Run executes rounds until every queue and mailbox is empty, OnTick
-// requests a stop, or the event limit trips (returned as an error).
+// requests a stop, or the event limit trips (returned as an error). A
+// panic inside a window — a workload thread's or a controller's — ends
+// the run at that window's barrier and comes back as the error too (see
+// runWindow), on a worker goroutine as on the inline path.
 func (s *Scheduler) Run() error {
 	if s.Lookahead < 1 {
 		return fmt.Errorf("pdes: lookahead must be >= 1, got %d", s.Lookahead)
@@ -71,15 +74,14 @@ func (s *Scheduler) Run() error {
 	// state to the worker at release and back to the coordinator at the
 	// barrier, so engines are only ever touched by one goroutine at a time.
 	s.start = make([]chan sim.Cycle, len(s.Engines))
-	s.done = make(chan struct{}, len(s.Engines))
+	s.done = make(chan error, len(s.Engines))
 	for i := range s.Engines {
 		s.start[i] = make(chan sim.Cycle)
-		go func(eng *sim.Engine, start chan sim.Cycle) {
+		go func(lp int, start chan sim.Cycle) {
 			for horizon := range start {
-				eng.RunUntilBudget(horizon, budget)
-				s.done <- struct{}{}
+				s.done <- s.runWindow(lp, horizon, budget)
 			}
-		}(s.Engines[i], s.start[i])
+		}(i, s.start[i])
 	}
 	defer func() {
 		for _, c := range s.start {
@@ -150,8 +152,9 @@ func (s *Scheduler) Run() error {
 				released++
 			}
 		}
+		var err error
 		if single >= 0 {
-			s.Engines[single].RunUntilBudget(horizon, budget)
+			err = s.runWindow(single, horizon, budget)
 		} else {
 			for lp, eng := range s.Engines {
 				if t, ok := eng.NextEventTime(); ok && t <= horizon {
@@ -159,8 +162,13 @@ func (s *Scheduler) Run() error {
 				}
 			}
 			for i := 0; i < released; i++ {
-				<-s.done
+				if e := <-s.done; e != nil && err == nil {
+					err = e
+				}
 			}
+		}
+		if err != nil {
+			return err
 		}
 		s.Windows++
 	}
