@@ -11,7 +11,6 @@ package alloc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"denovosync/internal/proto"
 )
@@ -21,33 +20,32 @@ import (
 const base proto.Addr = 0x1_0000
 
 // Lane address layout. Mid-run allocations (lock-free node carving) go
-// through per-thread lanes: disjoint bump arenas far above the shared
-// space, so no two threads ever touch the same allocator state and the
-// addresses a thread draws depend only on its own allocation sequence —
-// identical under serial and partitioned execution by construction.
+// through per-thread lanes: bump arenas far above the shared space, one
+// home chunk per thread. Every address a workload draws mid-run, and with
+// it every golden figure and fingerprint, follows from this layout.
 const (
 	// laneBase is the first lane address; everything below it belongs to
 	// the shared wiring-time space. All lane addresses stay below 2^32:
 	// counted-pointer structures (PLJ queue) pack (address, serial) into
 	// one 64-bit word with a 32-bit address field.
 	laneBase proto.Addr = 1 << 28
-	// laneStride is each lane's arena size (1 MiB — ~16k line-padded
-	// two-word nodes, far beyond any kernel's appetite).
+	// laneStride is the size of a lane chunk (1 MiB — ~16k line-padded
+	// two-word nodes).
 	laneStride proto.Addr = 1 << 20
-	// maxLanes bounds the lane index (thread/core ID); the top lane ends
-	// at laneBase + maxLanes*laneStride = 0x5000_0000 < 2^32.
+	// maxLanes bounds the lane index (thread/core ID). Thread i's home
+	// chunk is chunk i; the home chunks end at
+	// laneBase + maxLanes*laneStride = 0x5000_0000.
 	maxLanes = 1024
+	// maxChunks is the number of chunks below 2^32. Chunks from maxLanes
+	// on are overflow chunks, handed out in allocation order to whichever
+	// lane fills its current chunk.
+	maxChunks = int((1<<32 - laneBase) / laneStride)
 )
 
-// lane is one thread's private bump arena. next is touched only by the
-// owning thread; regions slots are written by the owner before the
-// address escapes and read by any tile at L1-fill time, so they are
-// accessed atomically (the values are race-free by the publish chain, the
-// atomicity just makes the benign line-granularity prefetch well-defined).
+// lane is one thread's bump arena: the unused rest of its current chunk.
 type lane struct {
-	next    proto.Addr
-	limit   proto.Addr
-	regions []uint32 // per word
+	next  proto.Addr
+	limit proto.Addr
 }
 
 // Space is a simulated address space with region tagging.
@@ -57,9 +55,13 @@ type Space struct {
 	regionIDs  map[string]proto.RegionID
 	nextRegion proto.RegionID
 
-	// lanes[i] is thread i's arena, created by the owner on first use and
-	// published through the atomic pointer for cross-tile RegionOf reads.
-	lanes [maxLanes]atomic.Pointer[lane]
+	// lanes[i] is thread i's arena, created on first use.
+	lanes [maxLanes]*lane
+	// chunks[i] holds the per-word region tags of the chunk at
+	// laneBase + i*laneStride (nil until the chunk is handed out).
+	chunks [][]uint8
+	// nextChunk is the next overflow chunk to hand out.
+	nextChunk int
 }
 
 // New returns an empty space. Region 0 ("default") is pre-assigned to all
@@ -70,6 +72,7 @@ func New() *Space {
 		regionOf:   make(map[proto.Addr]proto.RegionID),
 		regionIDs:  map[string]proto.RegionID{"default": 0},
 		nextRegion: 1,
+		nextChunk:  maxLanes,
 	}
 }
 
@@ -124,9 +127,11 @@ func (s *Space) AllocPadded(region proto.RegionID) proto.Addr {
 }
 
 // LaneAllocAligned reserves words words for thread laneID, starting on a
-// fresh cache line of the thread's private arena (see the lane layout
-// constants). It is the mid-run allocation path: safe to call from
-// workload code at any simulated time, in any partitioning.
+// fresh cache line of the thread's arena (see the lane layout constants).
+// It is the mid-run allocation path: safe to call from workload code at
+// any simulated time. When the lane's current chunk is full the lane
+// continues in the next overflow chunk; a single request larger than a
+// chunk panics.
 func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto.Addr {
 	if laneID < 0 || laneID >= maxLanes {
 		panic("alloc: lane ID out of range")
@@ -134,45 +139,55 @@ func (s *Space) LaneAllocAligned(laneID, words int, region proto.RegionID) proto
 	if words <= 0 {
 		panic("alloc: non-positive size")
 	}
-	ln := s.lanes[laneID].Load()
+	size := proto.Addr(words * proto.WordBytes)
+	if size > laneStride {
+		panic("alloc: lane overflow")
+	}
+	ln := s.lanes[laneID]
 	if ln == nil {
-		start := laneBase + proto.Addr(laneID)*laneStride
-		ln = &lane{
-			next:    start,
-			limit:   start + laneStride,
-			regions: make([]uint32, laneStride/proto.WordBytes),
-		}
-		s.lanes[laneID].Store(ln)
+		ln = &lane{}
+		s.lanes[laneID] = ln
+		s.takeChunk(ln, laneID)
 	}
 	if rem := ln.next % proto.LineBytes; rem != 0 {
 		ln.next += proto.LineBytes - rem
 	}
-	a := ln.next
-	ln.next += proto.Addr(words * proto.WordBytes)
-	if ln.next > ln.limit {
-		panic("alloc: lane overflow")
+	if ln.next+size > ln.limit {
+		if s.nextChunk >= maxChunks {
+			panic("alloc: lane chunks exhausted the 32-bit address space")
+		}
+		s.takeChunk(ln, s.nextChunk)
+		s.nextChunk++
 	}
-	slot := (a - (ln.limit - laneStride)) / proto.WordBytes
+	a := ln.next
+	ln.next += size
+	tags := s.chunks[(a-laneBase)/laneStride]
+	slot := (a - laneBase) % laneStride / proto.WordBytes
 	for i := 0; i < words; i++ {
-		atomic.StoreUint32(&ln.regions[slot+proto.Addr(i)], uint32(region))
+		tags[slot+proto.Addr(i)] = uint8(region)
 	}
 	return a
+}
+
+// takeChunk points ln at chunk ci.
+func (s *Space) takeChunk(ln *lane, ci int) {
+	if ci >= len(s.chunks) {
+		s.chunks = append(s.chunks, make([][]uint8, ci+1-len(s.chunks))...)
+	}
+	s.chunks[ci] = make([]uint8, laneStride/proto.WordBytes)
+	ln.next = laneBase + proto.Addr(ci)*laneStride
+	ln.limit = ln.next + laneStride
 }
 
 // RegionOf implements proto.RegionMapper.
 func (s *Space) RegionOf(a proto.Addr) proto.RegionID {
 	w := a.Word()
 	if w >= laneBase {
-		li := (w - laneBase) / laneStride
-		if li >= maxLanes {
+		ci := (w - laneBase) / laneStride
+		if ci >= proto.Addr(len(s.chunks)) || s.chunks[ci] == nil {
 			return 0
 		}
-		ln := s.lanes[li].Load()
-		if ln == nil {
-			return 0
-		}
-		start := ln.limit - laneStride
-		return proto.RegionID(atomic.LoadUint32(&ln.regions[(w-start)/proto.WordBytes]))
+		return proto.RegionID(s.chunks[ci][(w-laneBase)%laneStride/proto.WordBytes])
 	}
 	return s.regionOf[w]
 }

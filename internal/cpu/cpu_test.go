@@ -221,14 +221,19 @@ func TestLoadAllocs(t *testing.T) {
 		}
 	})
 	defer core.Stop()
-	eng.RunUntil(100 * lat) // warm up the event queue
-	allocs := testing.AllocsPerRun(1000, func() {
+	// nextLoad dispatches events one at a time until one more Load retires.
+	nextLoad := func() {
 		before := core.Retired()
-		eng.RunUntil(eng.Now() + lat)
-		if core.Retired() != before+1 {
-			t.Fatalf("retired %d loads in one latency, want 1", core.Retired()-before)
+		for core.Retired() == before {
+			if eng.Run(1) == 0 {
+				t.Fatal("engine drained with the load thread still running")
+			}
 		}
-	})
+	}
+	for i := 0; i < 100; i++ { // warm up the event queue
+		nextLoad()
+	}
+	allocs := testing.AllocsPerRun(1000, nextLoad)
 	if allocs > 1 {
 		t.Fatalf("steady-state Load costs %.2f allocations, want at most 1 (the Request)", allocs)
 	}

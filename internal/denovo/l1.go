@@ -31,7 +31,6 @@ type wtxn struct {
 // DeNovoSync0 (cfg.Backoff = false) or DeNovoSync (true).
 type L1 struct {
 	cfg  *Config
-	eng  *sim.Engine // the engine driving this tile (cfg.engAt(node))
 	id   proto.CoreID
 	node proto.NodeID
 	reg  *Registry
@@ -75,7 +74,6 @@ type L1 struct {
 
 	// obs, when set, receives one (controller, state, event) hit per
 	// handler activation (see coverage.go).
-	//lpisolate:boundary(Set*-injected coverage observer; read-only by contract, enforced by simlint observerpurity)
 	obs TransitionObserver
 
 	stats proto.L1Stats
@@ -86,7 +84,6 @@ type L1 struct {
 func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID, regions proto.RegionMapper) *L1 {
 	return &L1{
 		cfg:       cfg,
-		eng:       cfg.engAt(node),
 		id:        id,
 		node:      node,
 		cache:     cache.New(cfg.L1Size, cfg.L1Ways),
@@ -123,7 +120,7 @@ func (c *L1) Epoch(addr proto.Addr) uint64 { return c.epochs[addr.Word()] }
 func (c *L1) WaitDisturb(addr proto.Addr, epoch uint64, fn func()) {
 	w := addr.Word()
 	if c.epochs[w] != epoch {
-		c.eng.Schedule(0, fn)
+		c.cfg.Eng.Schedule(0, fn)
 		return
 	}
 	c.disturbs[w] = append(c.disturbs[w], fn)
@@ -137,14 +134,14 @@ func (c *L1) disturb(word proto.Addr) {
 	}
 	delete(c.disturbs, word)
 	for _, fn := range ws {
-		c.eng.Schedule(0, fn)
+		c.cfg.Eng.Schedule(0, fn)
 	}
 }
 
 // OnWritesDrained calls fn once all non-blocking stores have committed.
 func (c *L1) OnWritesDrained(fn func()) {
 	if c.pendingStores == 0 {
-		c.eng.Schedule(0, fn)
+		c.cfg.Eng.Schedule(0, fn)
 		return
 	}
 	c.drainWaiters = append(c.drainWaiters, fn)
@@ -156,7 +153,7 @@ func (c *L1) storeCommitted() {
 		ws := c.drainWaiters
 		c.drainWaiters = nil
 		for _, fn := range ws {
-			c.eng.Schedule(0, fn)
+			c.cfg.Eng.Schedule(0, fn)
 		}
 	}
 }
@@ -308,7 +305,7 @@ func (c *L1) Access(req *proto.Request) {
 		// so a younger same-core load always hits the new value.
 		c.pendingStores++
 		done := req.Done
-		c.eng.Schedule(c.cfg.L1AccessLat, func() { done(0) })
+		c.cfg.Eng.Schedule(c.cfg.L1AccessLat, func() { done(0) })
 		c.access(req, func(uint64) { c.storeCommitted() }, true)
 		return
 	}
@@ -335,7 +332,7 @@ func (c *L1) access(req *proto.Request, commit func(uint64), first bool) {
 
 	finish := func(v uint64) {
 		if first {
-			c.eng.Schedule(c.cfg.L1AccessLat, func() { commit(v) })
+			c.cfg.Eng.Schedule(c.cfg.L1AccessLat, func() { commit(v) })
 		} else {
 			commit(v)
 		}
@@ -479,7 +476,7 @@ func (c *L1) access(req *proto.Request, commit func(uint64), first bool) {
 // sendReg issues a registration request after the L1 access latency plus
 // any hardware-backoff stall.
 func (c *L1) sendReg(t *wtxn, stall sim.Cycle) {
-	c.eng.Schedule(c.cfg.L1AccessLat+stall, func() {
+	c.cfg.Eng.Schedule(c.cfg.L1AccessLat+stall, func() {
 		c.cfg.Net.Send(c.node, c.reg.NodeFor(t.word), regClass(t.kind), proto.CtrlFlits, func() {
 			c.reg.recvReg(t.word, t.kind, c)
 		})
@@ -497,7 +494,7 @@ func (c *L1) readMiss(req *proto.Request, commit func(uint64), first bool) {
 	t := &wtxn{word: word, kind: req.Kind, region: req.Region}
 	t.waiters = append(t.waiters, retry)
 	c.txns[word] = t
-	c.eng.Schedule(c.cfg.L1AccessLat, func() {
+	c.cfg.Eng.Schedule(c.cfg.L1AccessLat, func() {
 		c.cfg.Net.Send(c.node, c.reg.NodeFor(word), proto.ClassLD, proto.CtrlFlits, func() {
 			c.reg.recvDataRead(word, c)
 		})
@@ -557,7 +554,7 @@ func (c *L1) finishTxn(lineAddr proto.Addr, mask [proto.WordsPerLine]bool) {
 // likely want them next — e.g. a data structure rebalanced wholesale by
 // the previous lock holder).
 func (c *L1) recvFwdDataRead(word proto.Addr, from *L1) {
-	c.eng.Schedule(c.cfg.RemoteL1Lat, func() {
+	c.cfg.Eng.Schedule(c.cfg.RemoteL1Lat, func() {
 		c.observe(c.wordState(word), "recvFwdDataRead")
 		lineAddr := word.Line()
 		var mask [proto.WordsPerLine]bool
@@ -657,7 +654,7 @@ func (c *L1) recvFwdReg(word proto.Addr, kind proto.AccessKind, from *L1, serial
 		t.parked = append(t.parked, parkedFwd{kind: kind, from: from})
 		return
 	}
-	c.eng.Schedule(c.cfg.RemoteL1Lat, func() {
+	c.cfg.Eng.Schedule(c.cfg.RemoteL1Lat, func() {
 		c.serviceFwd(kind, from, word, stale)
 	})
 }

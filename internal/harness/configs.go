@@ -20,7 +20,7 @@ type NamedConfig struct {
 }
 
 // Params returns the configuration's machine.Params with the harness
-// defaults (watchdog budget, LP partitioning) applied — the same values
+// defaults (watchdog budget) applied — the same values
 // ParamsFor produces for the configuration's core count.
 func (c NamedConfig) Params() machine.Params {
 	return ParamsFor(c.Cores)

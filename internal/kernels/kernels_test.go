@@ -141,6 +141,21 @@ func TestKernels64Cores(t *testing.T) {
 	}
 }
 
+// TestHerlihyStack64LaneOverflow: at 64 cores every Herlihy stack
+// attempt carves a 257-word version from the thread's lane, and on MESI
+// 16 iterations fill a 1 MiB lane chunk. The run must continue in
+// overflow chunks and pass the kernel's functional check.
+func TestHerlihyStack64LaneOverflow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-core kernels skipped in -short mode")
+	}
+	h, _ := kernels.ByID("nb-herlihy-stack")
+	m := machine.New(machine.Params64(), machine.MESI, alloc.New())
+	if _, err := kernels.Run(h, m, kernels.Config{Cores: 64, Iters: 16}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSignatureKernels: the lock kernels run with signature-based
 // invalidation on a signature-enabled machine and stay functionally exact.
 func TestSignatureKernels(t *testing.T) {

@@ -52,7 +52,8 @@ func Names() []string {
 // each invariant protects: determinism and cycle hygiene guard the
 // simulator core (the machine/params layer legitimately reads wall time
 // for reports and centralizes latency numbers); thread discipline guards
-// code that runs *inside* the simulation. Orchestration layers above the
+// code that runs *inside* the simulation and the machine that runs it.
+// Orchestration layers above the
 // simulator — internal/exp, internal/harness, the commands — are
 // deliberately outside the determinism scope: wall-clock time (ETAs,
 // timeouts) and host parallelism are their job, and every simulation
@@ -74,15 +75,10 @@ var scopes = map[string][]string{
 	// and corpus contents are a pure function of seed + journal), so the
 	// same rules apply — seeded generators only, no wall clock, no
 	// order-sensitive map ranges without a per-site justification.
-	// internal/lint/lpisolate is in the determinism scope for the same
-	// reason the atlas is golden-gated: the ownership atlas it emits is
-	// checked-in JSON compared byte-for-byte in CI, so its extraction
-	// must be a pure function of the source tree — sorted iterations
-	// only, no wall clock.
 	Determinism.Name: {
 		"internal/sim", "internal/cache", "internal/mesi", "internal/denovo",
 		"internal/noc", "internal/mem", "internal/cpu", "internal/stats",
-		"internal/chaos", "internal/fuzz", "internal/lint/lpisolate",
+		"internal/chaos", "internal/fuzz",
 	},
 	CycleHygiene.Name: {
 		"internal/sim", "internal/cache", "internal/mesi", "internal/denovo",
@@ -90,10 +86,14 @@ var scopes = map[string][]string{
 	},
 	// internal/cpu is the thread layer itself: its threads are iter.Pull
 	// coroutines stepped from engine events, so it needs no goroutine,
-	// channel or sync primitive either.
+	// channel or sync primitive either. Neither does the rest of the
+	// machine (engine, network, memory, caches, controllers, allocator,
+	// assembly): one engine drives every tile on one goroutine.
 	ThreadDiscipline.Name: {
 		"internal/kernels", "internal/apps", "internal/locks",
 		"internal/barrier", "internal/lockfree", "internal/cpu",
+		"internal/sim", "internal/noc", "internal/mem", "internal/cache",
+		"internal/mesi", "internal/denovo", "internal/alloc", "internal/machine",
 	},
 	// observerpurity guards the read-only hook surfaces: the coverage
 	// observers living inside the protocol packages and the invariant

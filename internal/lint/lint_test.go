@@ -63,6 +63,16 @@ func TestScopes(t *testing.T) {
 		{"cyclehygiene", "internal/machine", false}, // latencies are declared there
 		{"threaddiscipline", "internal/kernels", true},
 		{"threaddiscipline", "internal/cpu", true}, // coroutine threads: no go/chan/sync
+		// One engine drives every tile of a machine on one goroutine, so
+		// the simulator core needs no go/chan/sync either.
+		{"threaddiscipline", "internal/sim", true},
+		{"threaddiscipline", "internal/noc", true},
+		{"threaddiscipline", "internal/mem", true},
+		{"threaddiscipline", "internal/cache", true},
+		{"threaddiscipline", "internal/mesi", true},
+		{"threaddiscipline", "internal/denovo", true},
+		{"threaddiscipline", "internal/alloc", true},
+		{"threaddiscipline", "internal/machine", true},
 		// internal/exp is the host-side orchestration layer: wall-clock
 		// progress/timeouts are its job, so only the whole-tree analyzers
 		// apply — and no //simlint:allow suppressions are needed there.

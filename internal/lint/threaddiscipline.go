@@ -8,22 +8,27 @@ import (
 	"denovosync/internal/lint/analysis"
 )
 
-// ThreadDiscipline forbids native Go concurrency in workload packages.
+// ThreadDiscipline forbids native Go concurrency inside a simulated
+// machine: the workload packages and the simulator core that runs them.
 // Workload code runs *inside* the simulation: every cross-thread
 // interaction must flow through the simulated thread API (cpu.Thread
 // loads/stores, simulated locks/barriers) so that it is timed, ordered by
 // the event engine, and visible to the coherence protocols. A native
 // goroutine, channel, or sync primitive would communicate through the Go
 // runtime instead — untimed, invisible to the protocol under test, and
-// racy against the engine (exactly the class of bug PR 1 fixed by hand in
-// a kernel's prefill path). The thread layer itself (internal/cpu) is in
-// scope too: it runs threads as coroutines stepped from engine events, so
-// a goroutine or channel there would reintroduce the scheduler handoff
-// it replaced. Flagged: go statements, channel types and operations,
-// select statements, and imports of sync or sync/atomic.
+// racy against the engine (exactly the class of bug once fixed by hand
+// in a kernel's prefill path). The machine itself — engine, network,
+// memory, caches, controllers, allocator, the thread layer
+// (internal/cpu) and the assembly (internal/machine) — is in scope too:
+// one engine drives every tile on one goroutine, and threads are
+// coroutines stepped from engine events, so a goroutine, channel or lock
+// there would only add a handoff or a second schedule. Independent
+// machines may still run concurrently from the layers above. Flagged: go
+// statements, channel types and operations, select statements, and
+// imports of sync or sync/atomic.
 var ThreadDiscipline = &analysis.Analyzer{
 	Name: "threaddiscipline",
-	Doc: "workload packages must not use go/chan/select/sync: all " +
+	Doc: "simulated-machine packages must not use go/chan/select/sync: all " +
 		"cross-thread communication flows through the simulated thread API",
 	Run: runThreadDiscipline,
 }
@@ -37,27 +42,27 @@ func runThreadDiscipline(pass *analysis.Pass) (interface{}, error) {
 			}
 			if path == "sync" || path == "sync/atomic" {
 				pass.Reportf(imp.Pos(),
-					"import of %s in a workload package: use the simulated locks/barriers instead", path)
+					"import of %s in a simulated-machine package: use the simulated locks/barriers instead", path)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"go statement in a workload package: spawn simulated threads via the machine instead")
+					"go statement in a simulated-machine package: spawn simulated threads via the machine instead")
 			case *ast.SelectStmt:
 				pass.Reportf(n.Pos(),
-					"select statement in a workload package: native channel communication bypasses the simulated memory system")
+					"select statement in a simulated-machine package: native channel communication bypasses the simulated memory system")
 			case *ast.ChanType:
 				pass.Reportf(n.Pos(),
-					"channel type in a workload package: communicate through simulated memory instead")
+					"channel type in a simulated-machine package: communicate through simulated memory instead")
 			case *ast.SendStmt:
 				pass.Reportf(n.Pos(),
-					"channel send in a workload package: communicate through simulated memory instead")
+					"channel send in a simulated-machine package: communicate through simulated memory instead")
 			case *ast.UnaryExpr:
 				if n.Op.String() == "<-" {
 					pass.Reportf(n.Pos(),
-						"channel receive in a workload package: communicate through simulated memory instead")
+						"channel receive in a simulated-machine package: communicate through simulated memory instead")
 				}
 			case *ast.CallExpr:
 				// make(chan T) without a literal chan type in scope still
@@ -66,7 +71,7 @@ func runThreadDiscipline(pass *analysis.Pass) (interface{}, error) {
 				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
 					if t := pass.TypesInfo.TypeOf(n.Args[0]); t != nil {
 						if _, isChan := t.Underlying().(*types.Chan); isChan {
-							pass.Reportf(n.Pos(), "channel close in a workload package")
+							pass.Reportf(n.Pos(), "channel close in a simulated-machine package")
 						}
 					}
 				}

@@ -56,8 +56,8 @@ func validate(t *cpu.Thread, root proto.Addr, snap uint64, n int) bool {
 }
 
 // copyObj copies src's count+elements into a fresh version object carved
-// from the copying thread's lane (runtime allocations must not touch the
-// shared bump pointer — its order would depend on thread interleaving).
+// from the copying thread's lane (the mid-run allocation path; see
+// alloc.Space.LaneAllocAligned).
 func (h *HerlihyStack) copyObj(t *cpu.Thread, src proto.Addr) (dst proto.Addr, count int) {
 	count = int(t.Load(src))
 	t.Flush() // pin the carve to the current simulated time
@@ -141,7 +141,7 @@ func NewHerlihyHeap(s *alloc.Space, st *mem.Store, capacity int) *HerlihyHeap {
 func heapOff(i int) proto.Addr { return proto.Addr((i + 1) * proto.WordBytes) }
 
 // copyHeap clones the current version into a lane-carved object (see
-// HerlihyStack.copyObj for why runtime carves bypass the shared space).
+// HerlihyStack.copyObj).
 func (h *HerlihyHeap) copyHeap(t *cpu.Thread, src proto.Addr) (dst proto.Addr, count int) {
 	count = int(t.Load(src))
 	t.Flush() // pin the carve to the current simulated time

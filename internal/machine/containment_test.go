@@ -71,11 +71,6 @@ func TestAbortedRunsReleaseGoroutines(t *testing.T) {
 		if err := panicky(t, small16()); err == nil {
 			t.Fatal("panicking run succeeded")
 		}
-		par := small16()
-		par.LPs = 4
-		if err := panicky(t, par); err == nil {
-			t.Fatal("panicking parallel run succeeded")
-		}
 		wd := small16()
 		wd.WatchdogCycles = 1000
 		if err := waitForever(wd); !errors.As(err, new(*WatchdogError)) {

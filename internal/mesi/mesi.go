@@ -44,24 +44,11 @@ type Config struct {
 	Store *mem.Store
 	DRAM  *mem.DRAM
 
-	// EngAt, when non-nil, maps a node to the engine of the logical
-	// process owning it (partitioned machines); nil means Eng drives
-	// everything. Controllers resolve their engine once, at wiring time.
-	EngAt func(proto.NodeID) *sim.Engine
-
 	L1Size, L1Ways int
 
 	// Latencies (cycles): L1 access, L2/directory access, remote-L1 tag
 	// access for forwarded requests. Fitted to Table 1 (1 / 27 / 9).
 	L1AccessLat, L2AccessLat, RemoteL1Lat sim.Cycle
-}
-
-// engAt resolves the engine driving node.
-func (cfg *Config) engAt(node proto.NodeID) *sim.Engine {
-	if cfg.EngAt != nil {
-		return cfg.EngAt(node)
-	}
-	return cfg.Eng
 }
 
 // txn is an outstanding L1 miss (one per line).
@@ -91,7 +78,6 @@ type txn struct {
 // L1 is one core's private MESI cache controller.
 type L1 struct {
 	cfg  *Config
-	eng  *sim.Engine // the engine driving this tile (cfg.engAt(node))
 	id   proto.CoreID
 	node proto.NodeID
 	dir  *Directory
@@ -122,7 +108,6 @@ type L1 struct {
 
 	// obs, when set, receives one (controller, state, event) hit per
 	// handler activation (see coverage.go).
-	//lpisolate:boundary(Set*-injected coverage observer; read-only by contract, enforced by simlint observerpurity)
 	obs TransitionObserver
 
 	stats proto.L1Stats
@@ -132,7 +117,6 @@ type L1 struct {
 func NewL1(cfg *Config, id proto.CoreID, node proto.NodeID) *L1 {
 	return &L1{
 		cfg:      cfg,
-		eng:      cfg.engAt(node),
 		id:       id,
 		node:     node,
 		cache:    cache.New(cfg.L1Size, cfg.L1Ways),
@@ -169,7 +153,7 @@ func (c *L1) Epoch(addr proto.Addr) uint64 { return c.epochs[addr.Line()] }
 func (c *L1) WaitDisturb(addr proto.Addr, epoch uint64, fn func()) {
 	line := addr.Line()
 	if c.epochs[line] != epoch {
-		c.eng.Schedule(0, fn)
+		c.cfg.Eng.Schedule(0, fn)
 		return
 	}
 	c.disturbs[line] = append(c.disturbs[line], fn)
@@ -183,14 +167,14 @@ func (c *L1) disturb(line proto.Addr) {
 	}
 	delete(c.disturbs, line)
 	for _, fn := range ws {
-		c.eng.Schedule(0, fn)
+		c.cfg.Eng.Schedule(0, fn)
 	}
 }
 
 // OnWritesDrained calls fn once all non-blocking stores have committed.
 func (c *L1) OnWritesDrained(fn func()) {
 	if c.pendingStores == 0 {
-		c.eng.Schedule(0, fn)
+		c.cfg.Eng.Schedule(0, fn)
 		return
 	}
 	c.drainWaiters = append(c.drainWaiters, fn)
@@ -214,7 +198,7 @@ func (c *L1) storeCommitted() {
 		ws := c.drainWaiters
 		c.drainWaiters = nil
 		for _, fn := range ws {
-			c.eng.Schedule(0, fn)
+			c.cfg.Eng.Schedule(0, fn)
 		}
 	}
 }
@@ -232,7 +216,7 @@ func (c *L1) Access(req *proto.Request) {
 		word := req.Addr.Word()
 		c.storeFwd[word] = append(c.storeFwd[word], req.Value)
 		done := req.Done
-		c.eng.Schedule(c.cfg.L1AccessLat, func() { done(0) })
+		c.cfg.Eng.Schedule(c.cfg.L1AccessLat, func() { done(0) })
 		c.access(req, func(uint64) {
 			c.popStoreFwd(word)
 			c.storeCommitted()
@@ -256,7 +240,7 @@ func (c *L1) access(req *proto.Request, commit func(uint64), first bool) {
 
 	finish := func(v uint64) {
 		if first {
-			c.eng.Schedule(c.cfg.L1AccessLat, func() { commit(v) })
+			c.cfg.Eng.Schedule(c.cfg.L1AccessLat, func() { commit(v) })
 		} else {
 			commit(v)
 		}
@@ -323,7 +307,7 @@ func (c *L1) access(req *proto.Request, commit func(uint64), first bool) {
 	if wantM {
 		class = proto.ClassST
 	}
-	c.eng.Schedule(c.cfg.L1AccessLat, func() {
+	c.cfg.Eng.Schedule(c.cfg.L1AccessLat, func() {
 		dirNode := c.dir.NodeFor(t.line)
 		c.cfg.Net.Send(c.node, dirNode, class, proto.CtrlFlits, func() {
 			if wantM {
@@ -487,7 +471,7 @@ func (c *L1) recvInv(line proto.Addr, req *L1) {
 //
 //atlas:unreachable mesi.L1 ls recvFwdGetS: the directory forwards GetS only to the pending exclusive owner and blocks until the handoff acks, so the target is E, M, or already evicted — never observed in S
 func (c *L1) recvFwdGetS(line proto.Addr, req *L1) {
-	c.eng.Schedule(c.cfg.RemoteL1Lat, func() {
+	c.cfg.Eng.Schedule(c.cfg.RemoteL1Lat, func() {
 		c.observe(c.lineState(line), "recvFwdGetS")
 		wbFlits := proto.CtrlFlits
 		if l := c.cache.Lookup(line); l != nil && (l.LineState == lm || l.LineState == le) {
@@ -515,7 +499,7 @@ func (c *L1) recvFwdGetS(line proto.Addr, req *L1) {
 // send data to the requestor. epoch is the directory's grant epoch for the
 // requestor's new ownership (the data response doubles as the grant).
 func (c *L1) recvFwdGetM(line proto.Addr, req *L1, epoch uint64) {
-	c.eng.Schedule(c.cfg.RemoteL1Lat, func() {
+	c.cfg.Eng.Schedule(c.cfg.RemoteL1Lat, func() {
 		c.observe(c.lineState(line), "recvFwdGetM")
 		if l := c.cache.Lookup(line); l != nil {
 			c.cache.Evict(l)

@@ -72,55 +72,32 @@ func abs(x int) int {
 	return x
 }
 
-// endpoint is one node's tile-local slice of the traffic accounting.
-// Send writes only the source node's endpoint; delivery writes only the
-// destination node's. Keeping every mutable counter sliced per node is
-// what lets the isolation prover (internal/lint/lpisolate) certify the
-// network as PDES-partitionable: a logical process only ever touches
-// its own endpoint, and totals are aggregated by read-only sweeps.
+// endpoint is one node's slice of the traffic accounting. Send writes
+// the source node's endpoint; delivery writes the destination node's.
+// Totals are aggregated by sweeps in node order.
 type endpoint struct {
 	flitCrossings [proto.NumMsgClasses]uint64
 	messages      [proto.NumMsgClasses]uint64
 
-	// In-flight accounting splits across the two tiles involved: sent
-	// increments at the source when the message enters the mesh,
-	// delivered increments at the destination inside the delivery event.
-	// A class's in-flight count is sum(sent) - sum(delivered), so
-	// neither side ever writes the other's counters.
+	// In-flight accounting: sent increments at the source when the
+	// message enters the mesh, delivered increments at the destination
+	// inside the delivery event. A class's in-flight count is
+	// sum(sent) - sum(delivered).
 	sent      [proto.NumMsgClasses]int64
 	delivered [proto.NumMsgClasses]int64
 
 	// arrivalSeq is this node's running cross-router message counter: the
 	// per-source half of the (src, ctr) arrival tie-break key (see
-	// sim.Engine.ScheduleArrivalAt). Source-owned, so every partition of
-	// the machine assigns identical keys without coordination.
+	// sim.Engine.ScheduleArrivalAt). The key fixes the dispatch order of
+	// same-cycle arrivals, which every golden figure and fingerprint
+	// depends on.
 	arrivalSeq uint64
-}
-
-// Exchange routes a cross-router delivery to the destination node's event
-// queue. The serial machine needs none (every node shares one engine); the
-// conservative window scheduler (internal/pdes) installs one that enqueues
-// same-LP arrivals directly and exports cross-LP arrivals as timestamped
-// messages into per-edge mailboxes drained at window barriers.
-type Exchange interface {
-	// Deliver schedules fn at absolute cycle at on dst's queue. schedAt is
-	// the send cycle and (src, ctr) the sender-assigned arrival key.
-	Deliver(src, dst proto.NodeID, at, schedAt sim.Cycle, ctr uint64, fn func())
 }
 
 // Network delivers messages across a Mesh and tallies traffic.
 type Network struct {
 	Mesh
 	eng *sim.Engine
-
-	// engOf maps a node to the engine that executes its events — all the
-	// same engine in serial mode, one per logical process under PDES.
-	// Wiring-time state, frozen before the first send.
-	engOf []*sim.Engine
-
-	// exchange, when non-nil, routes cross-router deliveries (see Exchange).
-	//lpisolate:boundary(wiring-injected cross-LP event exchange: per-edge mailboxes owned by the window scheduler, drained at barriers)
-	exchange Exchange
 
 	// perHopNum/perHopDen is the per-hop latency in cycles, as a rational
 	// so the 16-core fit of 10/3 cycles per hop is exact.
@@ -131,17 +108,14 @@ type Network struct {
 	eps []endpoint
 
 	// trace, when non-nil, observes every message at send time.
-	//lpisolate:boundary(wiring-injected observer: read-only by contract, runs synchronously at the sender)
 	trace func(at sim.Cycle, src, dst proto.NodeID, class proto.MsgClass, flits int)
 
 	// perturb, when non-nil, replaces a message's modeled delivery latency
 	// with a (possibly jittered) one — the chaos engine's injection point.
-	// now is the send cycle (passed in so the policy needs no engine handle
-	// of its own — under PDES each sender has a different clock). The
-	// callback must return a latency >= 0; it may reorder deliveries
-	// across source/destination pairs but is responsible for whatever
-	// ordering discipline the attached policy promises.
-	//lpisolate:boundary(wiring-injected latency policy: owns only its own jitter state, audited in internal/chaos)
+	// now is the send cycle. The callback must return a latency >= 0; it
+	// may reorder deliveries across source/destination pairs but is
+	// responsible for whatever ordering discipline the attached policy
+	// promises.
 	perturb func(now sim.Cycle, src, dst proto.NodeID, class proto.MsgClass, flits int, lat sim.Cycle) sim.Cycle
 
 	// track enables in-flight accounting (watchdog snapshots, end-of-run
@@ -149,10 +123,6 @@ type Network struct {
 	track bool
 
 	// cont, when non-nil, switches latency to the link-contention model.
-	// Its per-link busy horizons are fabric state mutated on every send:
-	// under a PDES partition the contended mesh is its own logical
-	// process (or sharded per link), not tile state.
-	//lpisolate:boundary(link-contention busy horizons are fabric-owned; a PDES port makes the contended NoC its own LP)
 	cont *contention
 }
 
@@ -161,32 +131,11 @@ func New(eng *sim.Engine, mesh Mesh, perHopNum, perHopDen sim.Cycle) *Network {
 	if perHopDen == 0 {
 		panic("noc: zero per-hop denominator")
 	}
-	n := &Network{
+	return &Network{
 		Mesh: mesh, eng: eng, perHopNum: perHopNum, perHopDen: perHopDen,
-		eps:   make([]endpoint, mesh.Tiles()+NumMemCtrl),
-		engOf: make([]*sim.Engine, mesh.Tiles()+NumMemCtrl),
+		eps: make([]endpoint, mesh.Tiles()+NumMemCtrl),
 	}
-	for i := range n.engOf {
-		n.engOf[i] = eng
-	}
-	return n
 }
-
-// SetEngines installs the per-node engine map for a partitioned machine:
-// engOf[node] is the engine that executes node's events. Wiring-time only.
-func (n *Network) SetEngines(engOf []*sim.Engine) {
-	if len(engOf) != len(n.engOf) {
-		panic("noc: SetEngines length mismatch")
-	}
-	copy(n.engOf, engOf)
-}
-
-// SetExchange installs the cross-router delivery router (nil restores
-// direct scheduling on the destination node's engine). Wiring-time only.
-func (n *Network) SetExchange(x Exchange) { n.exchange = x }
-
-// EngineFor returns the engine executing node's events.
-func (n *Network) EngineFor(node proto.NodeID) *sim.Engine { return n.engOf[node] }
 
 // Latency returns the modeled network traversal time for hops hops.
 func (n *Network) Latency(hops int) sim.Cycle {
@@ -198,17 +147,12 @@ func (n *Network) Latency(hops int) sim.Cycle {
 // instantaneous: they never touch a mesh link, matching the paper's traffic
 // metric. Send returns the modeled latency.
 //
-// Send must be called while executing on src's engine (every caller is a
-// tile-local controller or a delivery event already running at src).
-// Cross-router deliveries are keyed arrivals — ordered at the destination
-// by (arrival cycle, send cycle, src, per-src counter), a key computed
-// from sender-owned state alone — so the dispatch order is identical
-// whether all nodes share one engine or the machine is partitioned into
-// logical processes. Same-router transfers stay band-0 local events: the
-// two nodes sharing a router (a tile and its co-located L2 bank, a corner
-// tile and its memory controller) are always in the same partition.
+// Cross-router deliveries are keyed arrivals, ordered at the destination
+// by (arrival cycle, send cycle, src, per-src counter); same-router
+// transfers are ordinary FIFO events. That split is the dispatch order
+// every golden figure and fingerprint was recorded under.
 func (n *Network) Send(src, dst proto.NodeID, class proto.MsgClass, flits int, deliver func()) sim.Cycle {
-	eng := n.engOf[src]
+	eng := n.eng
 	now := eng.Now()
 	if n.trace != nil {
 		n.trace(now, src, dst, class, flits)
@@ -234,20 +178,12 @@ func (n *Network) Send(src, dst proto.NodeID, class proto.MsgClass, flits int, d
 		}
 	}
 	if hops == 0 {
-		// Same router ⇒ same logical process under any partition: keep
-		// the local FIFO-ring fast path (and with it, the exact serial
-		// ordering of co-located transfers).
 		eng.Schedule(lat, deliver)
 		return lat
 	}
 	ctr := n.eps[src].arrivalSeq
 	n.eps[src].arrivalSeq++
-	at := now + lat
-	if x := n.exchange; x != nil {
-		x.Deliver(src, dst, at, now, ctr, deliver)
-	} else {
-		n.engOf[dst].ScheduleArrivalAt(at, now, uint32(src), ctr, deliver)
-	}
+	eng.ScheduleArrivalAt(now+lat, now, uint32(src), ctr, deliver)
 	return lat
 }
 

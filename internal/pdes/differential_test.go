@@ -1,20 +1,30 @@
+// Package pdes_test keeps the differential battery that certified the
+// retired parallel (PDES) engine: for every kernel x protocol cell it
+// checked that a partitioned run reproduced the serial run's determinism
+// fingerprint bit-for-bit. The engine is gone; the certified fingerprints
+// are kept in testdata/battery_golden.txt, and the battery now checks that
+// the serial machine, the only machine, still reproduces every one of them.
 package pdes_test
 
-// The differential battery: every parallel run must reproduce the serial
-// run's determinism fingerprint bit-for-bit. This is the package's
-// absolute oracle — the conservative window scheduler is only correct if
-// partitioning is unobservable in every simulated quantity.
-
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"denovosync/internal/alloc"
-	"denovosync/internal/chaos"
 	"denovosync/internal/kernels"
 	"denovosync/internal/machine"
-	"denovosync/internal/sim"
 	"denovosync/internal/stats"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/battery_golden.txt")
+
+const goldenPath = "testdata/battery_golden.txt"
 
 // jobSpec is one cell of the differential matrix.
 type jobSpec struct {
@@ -23,7 +33,7 @@ type jobSpec struct {
 	sigs   bool // DeNovoSync with DeNovoND-style write signatures
 }
 
-// configName labels the protocol variant in failure messages.
+// configName labels the protocol variant in test names and the golden file.
 func (j jobSpec) configName() string {
 	if j.sigs {
 		return "DSsig"
@@ -38,26 +48,23 @@ func (j jobSpec) configName() string {
 	}
 }
 
-// runJob executes one kernel on a fresh 16-core machine. lps == 1 is the
-// serial reference; lps > 1 partitions the mesh. jitter > 0 attaches the
-// hash perturber (partition-independent chaos timing).
-func runJob(t *testing.T, j jobSpec, lps int, jitter sim.Cycle) *stats.RunStats {
+func (j jobSpec) name() string { return j.kernel + "/" + j.configName() }
+
+// runJob executes one kernel on a fresh 16-core machine with the battery's
+// fixed seed and iteration count.
+func runJob(t *testing.T, j jobSpec) *stats.RunStats {
 	t.Helper()
 	p := machine.Params16()
 	p.Seed = 7
-	p.LPs = lps
 	p.Signatures = j.sigs
 	k, ok := kernels.ByID(j.kernel)
 	if !ok {
 		t.Fatalf("unknown kernel %s", j.kernel)
 	}
 	m := machine.New(p, j.prot, alloc.New())
-	if jitter > 0 {
-		chaos.AttachHash(m.Net, chaos.HashPolicy{Seed: 99, MaxJitter: jitter})
-	}
 	rs, err := kernels.Run(k, m, kernels.Config{Iters: 4, EqChecks: -1, UseSignatures: j.sigs})
 	if err != nil {
-		t.Fatalf("%s/%s lps=%d: %v", j.kernel, j.configName(), lps, err)
+		t.Fatalf("%s: %v", j.name(), err)
 	}
 	return rs
 }
@@ -76,8 +83,7 @@ func fullMatrix() []jobSpec {
 	return jobs
 }
 
-// shortMatrix trims to three synchronization shapes for -short runs; the
-// CI pdes-check job runs the full matrix under -race.
+// shortMatrix trims to three synchronization shapes for -short runs.
 func shortMatrix() []jobSpec {
 	var jobs []jobSpec
 	for _, k := range []string{"tatas-counter", "nb-m-s-queue", "bar-tree"} {
@@ -91,83 +97,83 @@ func shortMatrix() []jobSpec {
 	return jobs
 }
 
-func matrix(t *testing.T) []jobSpec {
-	if testing.Short() {
-		return shortMatrix()
+// readGolden parses "kernel/config<TAB>fingerprint" lines.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
-	return fullMatrix()
+	want := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, fp, ok := strings.Cut(line, "\t")
+		if !ok {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		want[name] = fp
+	}
+	return want
 }
 
-// TestDifferentialBattery: serial vs fully-partitioned (one LP per tile)
-// fingerprints over the kernel x protocol matrix.
+// TestDifferentialBattery: every cell of the kernel x protocol matrix must
+// reproduce the fingerprint the PDES battery certified for it.
 func TestDifferentialBattery(t *testing.T) {
-	for _, j := range matrix(t) {
-		j := j
-		t.Run(j.kernel+"/"+j.configName(), func(t *testing.T) {
-			t.Parallel()
-			serial := stats.Fingerprint(runJob(t, j, 1, 0))
-			parallel := stats.Fingerprint(runJob(t, j, 16, 0))
-			if serial != parallel {
-				t.Errorf("parallel run diverged from serial:\nserial:   %s\nparallel: %s", serial, parallel)
+	jobs := fullMatrix()
+	if testing.Short() && !*updateGolden {
+		jobs = shortMatrix()
+	}
+	var want map[string]string
+	if !*updateGolden {
+		want = readGolden(t)
+		if len(want) != len(fullMatrix()) {
+			t.Fatalf("golden has %d cells, matrix has %d", len(want), len(fullMatrix()))
+		}
+	}
+	var mu sync.Mutex
+	got := make(map[string]string)
+	if *updateGolden {
+		// Cleanup runs once every parallel subtest has finished.
+		t.Cleanup(func() {
+			if !t.Failed() {
+				writeGolden(t, got)
 			}
 		})
-	}
-}
-
-// TestDifferentialLPGrouping: every legal LP count groups tiles
-// differently but must land on the same fingerprint.
-func TestDifferentialLPGrouping(t *testing.T) {
-	for _, j := range shortMatrix() {
-		j := j
-		t.Run(j.kernel+"/"+j.configName(), func(t *testing.T) {
-			t.Parallel()
-			want := stats.Fingerprint(runJob(t, j, 1, 0))
-			for _, lps := range []int{2, 4, 16} {
-				if got := stats.Fingerprint(runJob(t, j, lps, 0)); got != want {
-					t.Errorf("lps=%d diverged from serial:\nserial: %s\nlps=%d:  %s", lps, want, lps, got)
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialChaos: under hash-jittered message timing (the
-// partition-independent chaos policy) parallel runs must still reproduce
-// the jittered serial run exactly — jitter shifts delivery times but the
-// ordering key and the per-edge clamp state are mode-invariant.
-func TestDifferentialChaos(t *testing.T) {
-	jobs := shortMatrix()
-	if testing.Short() {
-		jobs = jobs[:4]
 	}
 	for _, j := range jobs {
 		j := j
-		t.Run(j.kernel+"/"+j.configName(), func(t *testing.T) {
+		t.Run(j.name(), func(t *testing.T) {
 			t.Parallel()
-			for _, jitter := range []sim.Cycle{3, 17} {
-				serial := stats.Fingerprint(runJob(t, j, 1, jitter))
-				parallel := stats.Fingerprint(runJob(t, j, 16, jitter))
-				if serial != parallel {
-					t.Errorf("jitter=%d parallel diverged:\nserial:   %s\nparallel: %s", jitter, serial, parallel)
-				}
+			fp := stats.Fingerprint(runJob(t, j))
+			if *updateGolden {
+				mu.Lock()
+				got[j.name()] = fp
+				mu.Unlock()
+				return
+			}
+			if w, ok := want[j.name()]; !ok {
+				t.Errorf("no golden fingerprint for %s", j.name())
+			} else if fp != w {
+				t.Errorf("diverged from the certified fingerprint:\nwant: %s\ngot:  %s", w, fp)
 			}
 		})
 	}
 }
 
-// TestSmoke is the seconds-scale gate run by `make pdes-smoke`: one
-// lock-based and one non-blocking kernel, serial vs lps=4 vs lps=16.
-func TestSmoke(t *testing.T) {
-	for _, j := range []jobSpec{
-		{"tatas-counter", machine.DeNovoSync, false},
-		{"nb-m-s-queue", machine.MESI, false},
-	} {
-		want := stats.Fingerprint(runJob(t, j, 1, 0))
-		for _, lps := range []int{4, 16} {
-			if got := stats.Fingerprint(runJob(t, j, lps, 0)); got != want {
-				t.Fatalf("%s/%s lps=%d diverged:\nserial:   %s\nparallel: %s",
-					j.kernel, j.configName(), lps, want, got)
-			}
-		}
+// writeGolden records the fingerprints sorted by cell name.
+func writeGolden(t *testing.T, got map[string]string) {
+	names := make([]string, 0, len(got))
+	for n := range got {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, n := range names {
+		fmt.Fprintf(&b, "%s\t%s\n", n, got[n])
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
